@@ -26,6 +26,7 @@ var fixtureCases = []string{
 	"lockconfine",
 	"chargetrack",
 	"errorflow",
+	"stmtsnapshot",
 }
 
 func runFixture(t *testing.T, name string) []Finding {

@@ -178,3 +178,19 @@ func BenchmarkFullTree(b *testing.B) {
 	})
 	b.Run("parallel", bench)
 }
+
+// TestReachableUntil pins the frontier semantics: a stop function is
+// itself reachable, but nothing only it calls is.
+func TestReachableUntil(t *testing.T) {
+	g := graphTree(t).Graph()
+	top := FuncKey{Pkg: "internal/shard", Name: "top"}
+	read := FuncKey{Pkg: "internal/shard", Recv: "Store", Name: "Read"}
+	numeric := FuncKey{Pkg: "internal/colstore", Recv: "File", Name: "NumericColumn"}
+	if all := g.Reachable([]FuncKey{top}); !all[read] || !all[numeric] {
+		t.Fatalf("Reachable(top) = %v, want Read and NumericColumn", all)
+	}
+	cut := g.ReachableUntil([]FuncKey{top}, map[FuncKey]bool{read: true})
+	if !cut[read] || cut[numeric] {
+		t.Errorf("ReachableUntil(top, stop Read) = %v, want Read without NumericColumn", cut)
+	}
+}

@@ -83,6 +83,14 @@ func (g *Graph) Holds(l LockKey) map[FuncKey]bool {
 // resolved edges (go and defer edges included: spawned and deferred
 // work still runs on behalf of the root).
 func (g *Graph) Reachable(roots []FuncKey) map[FuncKey]bool {
+	return g.ReachableUntil(roots, nil)
+}
+
+// ReachableUntil is Reachable with frontier functions: a function in
+// stop is reported as reachable but its callees are not followed, so a
+// rule can ask what reaches an API without also walking the API's own
+// internals.
+func (g *Graph) ReachableUntil(roots []FuncKey, stop map[FuncKey]bool) map[FuncKey]bool {
 	seen := map[FuncKey]bool{}
 	stack := append([]FuncKey{}, roots...)
 	for _, r := range roots {
@@ -94,7 +102,7 @@ func (g *Graph) Reachable(roots []FuncKey) map[FuncKey]bool {
 		k := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		fi := g.Funcs[k]
-		if fi == nil {
+		if fi == nil || stop[k] {
 			continue
 		}
 		for _, cs := range fi.Calls {

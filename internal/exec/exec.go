@@ -61,6 +61,9 @@ func Chunks(n, size int) []Range {
 type Pool struct {
 	workers int
 	met     poolMetrics
+	// tracer receives the serial/parallel engine note of every run
+	// (WithTracer); nil notes nothing.
+	tracer *obs.Tracer
 }
 
 // poolMetrics caches the pool's instrument handles. The zero value
@@ -102,6 +105,16 @@ func (p *Pool) WithMetrics(reg *obs.Registry) *Pool {
 	return p
 }
 
+// WithTracer makes every run note its engine (obs.NoteSerial or
+// obs.NoteParallel) on t's innermost open span — the statement's record
+// of which engine ran. Wire it only for pools driven from the
+// statement's own goroutine; the pool's worker goroutines never touch
+// t. Returns the pool for chaining.
+func (p *Pool) WithTracer(t *obs.Tracer) *Pool {
+	p.tracer = t
+	return p
+}
+
 // Run partitions [0, n) into fixed-size chunks and invokes fn once per
 // chunk, passing the chunk index and its range. fn must be safe to call
 // concurrently and should deposit its partial result in a per-chunk slot
@@ -129,6 +142,7 @@ func (p *Pool) RunRanges(ranges []Range, fn func(c int, r Range) error) error {
 	p.met.chunks.Add(int64(len(ranges)))
 	if workers <= 1 {
 		p.met.runSerial.Inc()
+		p.tracer.Note(obs.NoteSerial, 1)
 		for c, r := range ranges {
 			if err := fn(c, r); err != nil {
 				return err
@@ -137,6 +151,7 @@ func (p *Pool) RunRanges(ranges []Range, fn func(c int, r Range) error) error {
 		return nil
 	}
 	p.met.runParallel.Inc()
+	p.tracer.Note(obs.NoteParallel, 1)
 	p.met.spawned.Add(int64(workers))
 	errs := make([]error, len(ranges))
 	var next atomic.Int64

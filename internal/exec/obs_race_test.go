@@ -95,3 +95,32 @@ func TestSerialRunCountsSerial(t *testing.T) {
 		t.Error("serial run spawned workers")
 	}
 }
+
+// TestPoolEngineNotes pins the engine notes a traced pool leaves on the
+// caller's span: one per run, serial when a single worker ends up
+// running it, parallel when the run fans out — the same split as the
+// exec.runs.{serial,parallel} counters.
+func TestPoolEngineNotes(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer()
+	p := New(2).WithMetrics(reg).WithTracer(tr)
+	nop := func(int, Range) error { return nil }
+	root := tr.Begin("query")
+	if err := p.Run(10, 10, nop); err != nil { // one chunk: serial
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := p.Run(40, 10, nop); err != nil { // four chunks: parallel
+			t.Fatal(err)
+		}
+	}
+	root.End()
+	n := obs.FoldSpan(root).Notes
+	s := reg.Snapshot()
+	if n[obs.NoteSerial] != 1 || n[obs.NoteSerial] != s.Counters[obs.MExecRunsSerial] {
+		t.Errorf("serial notes %d, exec.runs.serial %d, want 1", n[obs.NoteSerial], s.Counters[obs.MExecRunsSerial])
+	}
+	if n[obs.NoteParallel] != 2 || n[obs.NoteParallel] != s.Counters[obs.MExecRunsParallel] {
+		t.Errorf("parallel notes %d, exec.runs.parallel %d, want 2", n[obs.NoteParallel], s.Counters[obs.MExecRunsParallel])
+	}
+}

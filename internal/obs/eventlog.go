@@ -18,18 +18,21 @@ const (
 // QueryRecord is the per-query payload of an event: what ran, what it
 // cost in the cost model's own units, and which execution strategies
 // the system chose — the operational counterpart of the paper's update
-// history (§3.3), kept per statement instead of per file.
+// history (§3.3), kept per statement instead of per file. Every field
+// below Query and the session is the statement's own: NewQueryRecord
+// derives them from its folded span tree, never from system-wide
+// counters, so other sessions' work cannot leak into a record.
 type QueryRecord struct {
 	Query      string `json:"query"`                 // statement text as typed
 	Session    string `json:"session,omitempty"`     // originating simulated session, when one is attached
 	SessionSeq int64  `json:"session_seq,omitempty"` // 1-based statement number within that session
 	TotalTicks int64  `json:"total_ticks"`           // root span total
-	Rows       int64  `json:"rows,omitempty"`        // rows scanned (sum over scan spans)
-	Pages      int64  `json:"pages,omitempty"`       // buffer-pool page reads charged to the budget
-	CacheHits  int64  `json:"cache_hits,omitempty"`  // summary-db hit delta
-	CacheMiss  int64  `json:"cache_miss,omitempty"`  // summary-db miss delta
-	Strategy   string `json:"strategy,omitempty"`    // incremental | recompute | cached
-	Engine     string `json:"engine,omitempty"`      // serial | parallel
+	Rows       int64  `json:"rows,omitempty"`        // sum of the rows attrs on "scan" spans
+	Pages      int64  `json:"pages,omitempty"`       // buffer-pool page reads charged to the statement's budget
+	CacheHits  int64  `json:"cache_hits,omitempty"`  // NoteHit on the spans (summary.scalar outcome=hit, Lookup, Register)
+	CacheMiss  int64  `json:"cache_miss,omitempty"`  // NoteMiss + NoteStaleRefill on the spans (outcome=miss|stale-refill, StoreCustom, Register)
+	Strategy   string `json:"strategy,omitempty"`    // incremental | recompute | cached, from the maintenance and outcome notes
+	Engine     string `json:"engine,omitempty"`      // serial | parallel, from the engine notes (fold engine=serial|parallel, pool runs)
 	Budget     string `json:"budget,omitempty"`      // budget breach description, if any
 	Err        string `json:"err,omitempty"`         // statement error, if any
 	// Slow-query capture: a statement breaching the slow-ticks threshold
@@ -38,6 +41,40 @@ type QueryRecord struct {
 	// ticks go" without rerunning the query.
 	Profile string `json:"profile,omitempty"`
 	Explain string `json:"explain,omitempty"`
+}
+
+// NewQueryRecord builds the record of one statement from its folded
+// profile: ticks from the root total, rows from the scan sites, and the
+// cache, strategy and engine facts from the decision notes its layers
+// left on its spans. Strategy ranks maintenance over computation over
+// cache answers: an update that folded deltas is "incremental" even if
+// it also recomputed an invalidated entry, and any computation from the
+// data outranks hits. A run-aware fold (engine=runs) notes no engine,
+// so such a statement reports none.
+func NewQueryRecord(query string, p *Profile) *QueryRecord {
+	n := &p.Notes
+	rec := &QueryRecord{
+		Query:      query,
+		TotalTicks: p.Ticks,
+		Rows:       p.SiteRows("scan"),
+		CacheHits:  n[NoteHit],
+		CacheMiss:  n[NoteMiss] + n[NoteStaleRefill],
+	}
+	switch {
+	case n[NoteIncremental] > 0 || n[NoteSlide] > 0:
+		rec.Strategy = "incremental"
+	case n[NoteRecompute] > 0 || n[NoteMiss] > 0:
+		rec.Strategy = "recompute"
+	case n[NoteHit] > 0:
+		rec.Strategy = "cached"
+	}
+	switch {
+	case n[NoteParallel] > 0:
+		rec.Engine = "parallel"
+	case n[NoteSerial] > 0:
+		rec.Engine = "serial"
+	}
+	return rec
 }
 
 // Event is one JSONL record. Tick is virtual time (the statement's

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"text/tabwriter"
 )
@@ -21,6 +22,9 @@ type Profile struct {
 	Queries int64                 `json:"queries"`
 	Ticks   int64                 `json:"ticks"`
 	Sites   map[string]*SiteStats `json:"sites"`
+	// Notes sums the decision notes of every folded span (Tracer.Note):
+	// the facts a statement's event record is built from. Not rendered.
+	Notes Notes `json:"-"`
 }
 
 // SiteStats accumulates one site path's charges across the folded
@@ -50,14 +54,13 @@ func FoldSpan(root *Span) *Profile {
 	root.t.mu.Lock()
 	defer root.t.mu.Unlock()
 	p.Queries = 1
-	p.Ticks = root.total()
-	foldSite(p, root, "")
+	p.Ticks = foldSite(p, root, "")
 	return p
 }
 
-// foldSite records s at path prefix+name and recurses; called under the
-// tracer lock.
-func foldSite(p *Profile, s *Span, prefix string) {
+// foldSite records s at path prefix+name, recurses, and returns s's
+// subtree total; called under the tracer lock.
+func foldSite(p *Profile, s *Span, prefix string) int64 {
 	path := s.name
 	if prefix != "" {
 		path = prefix + ";" + s.name
@@ -67,9 +70,16 @@ func foldSite(p *Profile, s *Span, prefix string) {
 		st = &SiteStats{}
 		p.Sites[path] = st
 	}
+	total := s.self
+	for _, c := range s.children {
+		total += foldSite(p, c, path)
+	}
 	st.Calls++
 	st.Self += s.self
-	st.Total += s.total()
+	st.Total += total
+	if s.notes != nil {
+		p.Notes.add(s.notes)
+	}
 	for _, a := range s.attrs {
 		switch a.Key {
 		case "pages":
@@ -82,9 +92,20 @@ func foldSite(p *Profile, s *Span, prefix string) {
 			}
 		}
 	}
-	for _, c := range s.children {
-		foldSite(p, c, path)
+	return total
+}
+
+// SiteRows sums the rows attrs of every site whose span is named name,
+// wherever it sits in the tree — SiteRows("scan") is the data the folded
+// statements touched.
+func (p *Profile) SiteRows(name string) int64 {
+	var n int64
+	for path, st := range p.Sites {
+		if leaf := len(path) - len(name); strings.HasSuffix(path, name) && (leaf == 0 || path[leaf-1] == ';') {
+			n += st.Rows
+		}
 	}
+	return n
 }
 
 // Merge folds o into p. Sums of integers commute, so any merge order
@@ -95,6 +116,7 @@ func (p *Profile) Merge(o *Profile) {
 	}
 	p.Queries += o.Queries
 	p.Ticks += o.Ticks
+	p.Notes.add(&o.Notes)
 	if p.Sites == nil {
 		p.Sites = make(map[string]*SiteStats, len(o.Sites))
 	}
@@ -117,7 +139,7 @@ func (p *Profile) Clone() *Profile {
 	if p == nil {
 		return nil
 	}
-	out := &Profile{Queries: p.Queries, Ticks: p.Ticks, Sites: make(map[string]*SiteStats, len(p.Sites))}
+	out := &Profile{Queries: p.Queries, Ticks: p.Ticks, Notes: p.Notes, Sites: make(map[string]*SiteStats, len(p.Sites))}
 	for path, st := range p.Sites {
 		c := *st
 		out.Sites[path] = &c

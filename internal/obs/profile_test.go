@@ -200,3 +200,42 @@ func TestProfileRingConcurrentMerges(t *testing.T) {
 	close(stop)
 	readers.Wait()
 }
+
+// TestNotesFoldIntoRecord checks the decision-note path end to end:
+// notes land on the innermost open span (and are dropped with none
+// open), FoldSpan sums them over the tree, Merge and Clone carry them,
+// and NewQueryRecord turns them and the scan sites (not other sites
+// carrying rows) into the record.
+func TestNotesFoldIntoRecord(t *testing.T) {
+	tr := NewTracer()
+	tr.Note(NoteHit, 1) // no span open: dropped
+	root := tr.Begin("query")
+	tr.Note(NoteHit, 2)
+	sc := tr.Begin("summary.scalar")
+	tr.Note(NoteMiss, 1)
+	tr.Begin("scan", AI("rows", 300)).End()
+	tr.Begin("fold", A("engine", "parallel")).End()
+	tr.Note(NoteParallel, 1)
+	sc.End()
+	other := tr.Begin("view.compute")
+	tr.Begin("scan", AI("rows", 20)).End()
+	tr.Begin("scanner", AI("rows", 5000)).End() // not a scan site
+	other.End()
+	root.End()
+
+	p := FoldSpan(root)
+	if p.Notes[NoteHit] != 2 || p.Notes[NoteMiss] != 1 || p.Notes[NoteParallel] != 1 {
+		t.Errorf("folded notes %v", p.Notes)
+	}
+	rec := NewQueryRecord("q", p)
+	want := QueryRecord{Query: "q", TotalTicks: 0, Rows: 320, CacheHits: 2, CacheMiss: 1,
+		Strategy: "recompute", Engine: "parallel"}
+	if *rec != want {
+		t.Errorf("record %+v, want %+v", *rec, want)
+	}
+	m := p.Clone()
+	m.Merge(p)
+	if m.Notes[NoteHit] != 4 || p.Notes[NoteHit] != 2 {
+		t.Errorf("merged clone notes %v, original %v", m.Notes, p.Notes)
+	}
+}

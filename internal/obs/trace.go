@@ -34,6 +34,43 @@ type Span struct {
 	parent   *Span
 	start    int64 // tracer sequence number at Begin
 	end      int64 // tracer sequence number at End (0 while open)
+	// notes tallies the decisions layers recorded while this span was
+	// innermost (Tracer.Note); nil until the first one, so spans that
+	// decide nothing pay one pointer.
+	notes *Notes
+}
+
+// Note names one decision a layer records on the statement's span tree:
+// how the Summary Database answered or maintained an entry, and which
+// engine ran a fold or a pool run. Each is noted at the site that bumps
+// the matching summary.* or exec.* counter, so a statement's event
+// record is built from its own spans (Profile.Notes) rather than from
+// system-wide counter deltas. Notes never render in explain trees or
+// profile tables.
+type Note uint8
+
+// The notes, one per decision counter the event record reads.
+const (
+	NoteHit         Note = iota // lookup answered from a fresh entry (summary.hits)
+	NoteMiss                    // lookup computed from the data (summary.misses)
+	NoteStaleRefill             // lookup regenerated a stale entry (summary.stale_refill)
+	NoteIncremental             // deltas folded into a maintainer (summary.incremental)
+	NoteSlide                   // deltas absorbed by a quantile window (summary.slides)
+	NoteRebuild                 // maintainer or window rebuilt by a full pass (summary.rebuilds)
+	NoteRecompute               // strategy- or policy-forced recomputation (summary.recomputes)
+	NoteSerial                  // a fold or pool run on one worker (summary.recompute.serial, exec.runs.serial)
+	NoteParallel                // a fold or pool run fanned out (summary.recompute.parallel, exec.runs.parallel)
+	numNotes
+)
+
+// Notes counts noted decisions by kind.
+type Notes [numNotes]int64
+
+// add folds o into n.
+func (n *Notes) add(o *Notes) {
+	for i, v := range o {
+		n[i] += v
+	}
 }
 
 // Name returns the span name.
@@ -388,6 +425,24 @@ func (t *Tracer) Charge(n int64) {
 	// The work happened whether or not a span was open to attribute it
 	// to, so the budget is charged regardless.
 	b.ChargeTicks(n)
+}
+
+// Note records count decisions of kind n on the innermost open span.
+// With no span open (a layer driven outside any statement) the note is
+// dropped: there is no statement record to attribute it to.
+func (t *Tracer) Note(n Note, count int64) {
+	if t == nil || count == 0 {
+		return
+	}
+	t.mu.Lock()
+	if k := len(t.stack); k > 0 {
+		s := t.stack[k-1]
+		if s.notes == nil {
+			s.notes = new(Notes)
+		}
+		s.notes[n] += count
+	}
+	t.mu.Unlock()
 }
 
 // end closes s; used by Span.End.

@@ -21,12 +21,14 @@ type Executor struct {
 	Out     io.Writer
 	// Cached observability handles (query.* counters, system tracer,
 	// continuous-profile ring and its counters; reg registers the
-	// per-verb SLO families lazily as verbs run).
+	// per-verb SLO families lazily as verbs run, and slos caches each
+	// verb's handles once registered).
 	cStatements *obs.Counter
 	cErrors     *obs.Counter
 	cProfiled   *obs.Counter
 	cSlow       *obs.Counter
 	reg         *obs.Registry
+	slos        map[string]*verbSLO
 	profiles    *obs.ProfileRing
 	tracer      *obs.Tracer
 	// events, when set, receives one structured record per profiled
@@ -59,6 +61,7 @@ func NewExecutor(d *core.DBMS, analyst string, out io.Writer) *Executor {
 		cProfiled:   reg.Counter(obs.MProfileQueries),
 		cSlow:       reg.Counter(obs.MProfileSlow),
 		reg:         reg,
+		slos:        make(map[string]*verbSLO),
 		profiles:    d.Profiles(),
 		tracer:      d.Tracer(),
 	}
@@ -221,10 +224,6 @@ func (e *Executor) runProfiled(cmd Command, text string) (*obs.Span, error) {
 	defer release()
 	maxTicks, maxPages := e.DBMS.QueryBudget()
 	budget := obs.NewBudget(maxTicks, maxPages)
-	var before obs.Snapshot
-	if e.events != nil {
-		before = e.DBMS.Metrics()
-	}
 	e.tracer.SetBudget(budget)
 	root := e.tracer.Begin("query")
 	err = e.exec(cmd)
@@ -236,26 +235,47 @@ func (e *Executor) runProfiled(cmd Command, text string) (*obs.Span, error) {
 	prof := e.observeVerb(cmd, root, err)
 	e.lastProfile = prof
 	_, e.lastPages = budget.Used()
-	e.logQuery(text, cmd, root, prof, budget, before, err)
+	e.logQuery(text, cmd, root, prof, err)
 	return root, err
+}
+
+// verbSLO holds one verb's SLO instruments. The error and breach
+// counters stay nil until the verb first fails or breaches, so exports
+// list only the families a verb has actually fed.
+type verbSLO struct {
+	ticks            *obs.Histogram
+	errors, breaches *obs.Counter
 }
 
 // observeVerb folds the finished statement's span tree into the
 // continuous-profile ring under its verb and feeds the per-verb SLO
 // families: the query.ticks.<verb> histogram (total cost-model ticks),
 // and error/budget-breach counters. These labeled instruments register
-// lazily, so only verbs that actually ran appear in exports.
+// lazily, so only verbs that actually ran appear in exports; the
+// executor keeps the handles, so a verb's later statements skip the
+// registry.
 func (e *Executor) observeVerb(cmd Command, root *obs.Span, err error) *obs.Profile {
 	prof := obs.FoldSpan(root)
 	verb := verbOf(cmd)
 	e.profiles.Add(verb, prof)
 	e.cProfiled.Inc()
-	e.reg.Histogram(obs.LabeledName(obs.MQueryTicks, verb), obs.QueryTicksBounds()).Observe(prof.Ticks)
+	slo := e.slos[verb]
+	if slo == nil {
+		slo = &verbSLO{ticks: e.reg.Histogram(obs.LabeledName(obs.MQueryTicks, verb), obs.QueryTicksBounds())}
+		e.slos[verb] = slo
+	}
+	slo.ticks.Observe(prof.Ticks)
 	if err != nil {
-		e.reg.Counter(obs.LabeledName(obs.MQueryVerbErrors, verb)).Inc()
+		if slo.errors == nil {
+			slo.errors = e.reg.Counter(obs.LabeledName(obs.MQueryVerbErrors, verb))
+		}
+		slo.errors.Inc()
 		var be *obs.BudgetError
 		if errors.As(err, &be) {
-			e.reg.Counter(obs.LabeledName(obs.MQueryBreaches, verb)).Inc()
+			if slo.breaches == nil {
+				slo.breaches = e.reg.Counter(obs.LabeledName(obs.MQueryBreaches, verb))
+			}
+			slo.breaches.Inc()
 		}
 	}
 	return prof
@@ -321,12 +341,12 @@ func verbOf(cmd Command) string {
 }
 
 // logQuery emits one structured record for a finished statement,
-// attaching the rendered profile and explain tree when the statement
-// was slow (met the log's slow-ticks threshold) or breached its budget
-// — the slow-query capture.
-func (e *Executor) logQuery(text string, cmd Command, root *obs.Span, prof *obs.Profile, budget *obs.Budget, before obs.Snapshot, err error) {
-	total := root.Total()
-	e.clock += total
+// built from its folded profile (obs.NewQueryRecord) — the statement's
+// own spans, not system-wide counters — and attaches the rendered
+// profile and explain tree when the statement was slow (met the log's
+// slow-ticks threshold) or breached its budget: the slow-query capture.
+func (e *Executor) logQuery(text string, cmd Command, root *obs.Span, prof *obs.Profile, err error) {
+	e.clock += prof.Ticks
 	e.sessionSeq++
 	if e.events == nil {
 		return
@@ -334,34 +354,11 @@ func (e *Executor) logQuery(text string, cmd Command, root *obs.Span, prof *obs.
 	if text == "" {
 		text = fmt.Sprintf("%T", cmd)
 	}
-	_, pages := budget.Used()
-	rec := &obs.QueryRecord{
-		Query:      text,
-		TotalTicks: total,
-		Rows:       scanRows(root),
-		Pages:      pages,
-	}
+	rec := obs.NewQueryRecord(text, prof)
+	rec.Pages = e.lastPages
 	if e.session != "" {
 		rec.Session = e.session
 		rec.SessionSeq = e.sessionSeq
-	}
-	after := e.DBMS.Metrics()
-	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
-	rec.CacheHits = delta(obs.MSummaryHits)
-	rec.CacheMiss = delta(obs.MSummaryMisses) + delta(obs.MSummaryStaleRefill)
-	switch {
-	case delta(obs.MSummaryIncremental) > 0 || delta(obs.MSummarySlides) > 0:
-		rec.Strategy = "incremental"
-	case delta(obs.MSummaryRecomputes) > 0 || delta(obs.MSummaryMisses) > 0:
-		rec.Strategy = "recompute"
-	case rec.CacheHits > 0:
-		rec.Strategy = "cached"
-	}
-	switch {
-	case delta(obs.MSummaryRecomputeParallel) > 0 || delta(obs.MExecRunsParallel) > 0:
-		rec.Engine = "parallel"
-	case delta(obs.MSummaryRecomputeSerial) > 0 || delta(obs.MExecRunsSerial) > 0:
-		rec.Engine = "serial"
 	}
 	var be *obs.BudgetError
 	if errors.As(err, &be) {
@@ -369,7 +366,7 @@ func (e *Executor) logQuery(text string, cmd Command, root *obs.Span, prof *obs.
 	} else if err != nil {
 		rec.Err = err.Error()
 	}
-	slow := e.events.SlowTicks() > 0 && total >= e.events.SlowTicks()
+	slow := e.events.SlowTicks() > 0 && prof.Ticks >= e.events.SlowTicks()
 	if slow || rec.Budget != "" {
 		var pb, xb bytes.Buffer
 		_ = prof.WriteTop(&pb, 10)   //lint:allow error-flow writes to a bytes.Buffer cannot fail
@@ -379,28 +376,6 @@ func (e *Executor) logQuery(text string, cmd Command, root *obs.Span, prof *obs.
 		e.cSlow.Inc()
 	}
 	e.events.Log(obs.Event{Tick: e.clock, Kind: "query", Query: rec})
-}
-
-// scanRows sums the rows attribute over every "scan" span in the tree —
-// the statement's data touched, as the profile saw it.
-func scanRows(s *obs.Span) int64 {
-	if s == nil {
-		return 0
-	}
-	var n int64
-	if s.Name() == "scan" {
-		for _, a := range s.Attrs() {
-			if a.Key == "rows" {
-				var v int64
-				fmt.Sscanf(a.Value, "%d", &v)
-				n += v
-			}
-		}
-	}
-	for _, c := range s.Children() {
-		n += scanRows(c)
-	}
-	return n
 }
 
 // exec dispatches one parsed command inside the caller's span.

@@ -190,6 +190,41 @@ func (db *DB) Len() int {
 	return len(db.entries)
 }
 
+// decide accounts n Summary Database decisions of kind k in all three
+// places that report them: the DB's own Counters, their registry mirror
+// (summary.*), and a note on the statement's innermost open span, from
+// which the statement's event record is built. The caller holds db.mu.
+func (db *DB) decide(k obs.Note, n int64) {
+	switch k {
+	case obs.NoteHit:
+		db.counters.Hits += n
+		db.met.hits.Add(n)
+	case obs.NoteMiss:
+		db.counters.Misses += n
+		db.met.misses.Add(n)
+	case obs.NoteStaleRefill:
+		db.counters.StaleRefill += n
+		db.met.staleRefill.Add(n)
+	case obs.NoteIncremental:
+		db.counters.Incremental += n
+		db.met.incremental.Add(n)
+	case obs.NoteSlide:
+		db.counters.Slides += n
+		db.met.slides.Add(n)
+	case obs.NoteRebuild:
+		db.counters.Rebuilds += n
+		db.met.rebuilds.Add(n)
+	case obs.NoteRecompute:
+		db.counters.Recomputes += n
+		db.met.recomputes.Add(n)
+	case obs.NoteSerial:
+		db.met.recomputeSerial.Add(n)
+	case obs.NoteParallel:
+		db.met.recomputeParallel.Add(n)
+	}
+	db.tracer.Note(k, n)
+}
+
 // builtinScalar computes one of the built-in scalar functions over a
 // column. The quantile shorthands q1/median/q3 are fixed points of the
 // general quantile machinery.
@@ -267,8 +302,7 @@ func (db *DB) ScalarRuns(fn, attr string, source Source, runs RunSource) (float6
 	if slot, ok := db.idx.Get(key); ok {
 		e := db.entries[slot]
 		if e.fresh {
-			db.counters.Hits++
-			db.met.hits.Inc()
+			db.decide(obs.NoteHit, 1)
 			sp.SetAttr("outcome", "hit")
 			return e.result.Scalar, nil
 		}
@@ -286,12 +320,10 @@ func (db *DB) ScalarRuns(fn, attr string, source Source, runs RunSource) (float6
 		if err != nil {
 			return 0, err
 		}
-		db.counters.StaleRefill++
-		db.met.staleRefill.Inc()
+		db.decide(obs.NoteStaleRefill, 1)
 		return v, nil
 	}
-	db.counters.Misses++
-	db.met.misses.Inc()
+	db.decide(obs.NoteMiss, 1)
 	sp.SetAttr("outcome", "miss")
 	e := &entry{fn: fn, attrs: []string{attr}, source: source, runs: runs}
 	if runs != nil {
@@ -393,8 +425,7 @@ func (db *DB) refreshScalar(e *entry) (float64, error) {
 		}
 		e.result = r
 		e.fresh = true
-		db.counters.Recomputes++
-		db.met.recomputes.Inc()
+		db.decide(obs.NoteRecompute, 1)
 		return r.Scalar, nil
 	}
 	if e.runs != nil {
@@ -408,8 +439,7 @@ func (db *DB) refreshScalar(e *entry) (float64, error) {
 			}
 			e.result = ScalarOf(v)
 			e.fresh = true
-			db.counters.Recomputes++
-			db.met.recomputes.Inc()
+			db.decide(obs.NoteRecompute, 1)
 			return v, nil
 		}
 	}
@@ -430,8 +460,7 @@ func (db *DB) refreshScalar(e *entry) (float64, error) {
 	}
 	e.result = ScalarOf(v)
 	e.fresh = true
-	db.counters.Recomputes++
-	db.met.recomputes.Inc()
+	db.decide(obs.NoteRecompute, 1)
 	db.installMaintenance(e, xs, valid)
 	return v, nil
 }
@@ -452,8 +481,7 @@ func (db *DB) Register(fn string, attrs []string, compute func() (Result, error)
 	if slot, ok := db.idx.Get(key); ok {
 		e := db.entries[slot]
 		if e.fresh {
-			db.counters.Hits++
-			db.met.hits.Inc()
+			db.decide(obs.NoteHit, 1)
 			return e.result, nil
 		}
 		if e.recompute == nil {
@@ -463,8 +491,7 @@ func (db *DB) Register(fn string, attrs []string, compute func() (Result, error)
 			if err != nil {
 				return Result{}, err
 			}
-			db.counters.StaleRefill++
-			db.met.staleRefill.Inc()
+			db.decide(obs.NoteStaleRefill, 1)
 			return ScalarOf(v), nil
 		}
 		r, err := e.recompute()
@@ -473,14 +500,11 @@ func (db *DB) Register(fn string, attrs []string, compute func() (Result, error)
 		}
 		e.result = r
 		e.fresh = true
-		db.counters.StaleRefill++
-		db.met.staleRefill.Inc()
-		db.counters.Recomputes++
-		db.met.recomputes.Inc()
+		db.decide(obs.NoteStaleRefill, 1)
+		db.decide(obs.NoteRecompute, 1)
 		return r, nil
 	}
-	db.counters.Misses++
-	db.met.misses.Inc()
+	db.decide(obs.NoteMiss, 1)
 	r, err := compute()
 	if err != nil {
 		return Result{}, err
@@ -505,8 +529,7 @@ func (db *DB) Lookup(fn string, attrs ...string) (Result, bool) {
 	if !e.fresh {
 		return Result{}, false
 	}
-	db.counters.Hits++
-	db.met.hits.Inc()
+	db.decide(obs.NoteHit, 1)
 	return e.result, true
 }
 
@@ -519,8 +542,7 @@ func (db *DB) Lookup(fn string, attrs ...string) (Result, bool) {
 func (db *DB) StoreCustom(fn string, attrs []string, r Result) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.counters.Misses++
-	db.met.misses.Inc()
+	db.decide(obs.NoteMiss, 1)
 	if slot, ok := db.idx.Get(entryKey(fn, attrs)); ok {
 		e := db.entries[slot]
 		e.result = r
@@ -571,8 +593,7 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta) {
 		if e.recompute != nil {
 			if r, err := e.recompute(); err == nil {
 				e.result, e.fresh = r, true
-				db.counters.Recomputes++
-				db.met.recomputes.Inc()
+				db.decide(obs.NoteRecompute, 1)
 			} else {
 				e.fresh = false
 			}
@@ -600,12 +621,10 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta) {
 		if !ok {
 			// Defeated (e.g. min's last copy deleted): rebuild from data.
 			xs, valid := db.readSource(e.source)
-			db.counters.Rebuilds++
-			db.met.rebuilds.Inc()
+			db.decide(obs.NoteRebuild, 1)
 			e.maint.Rebuild(xs, valid)
 		} else {
-			db.counters.Incremental += int64(len(deltas))
-			db.met.incremental.Add(int64(len(deltas)))
+			db.decide(obs.NoteIncremental, int64(len(deltas)))
 		}
 		if v, err := e.maint.Value(); err == nil {
 			e.result, e.fresh = ScalarOf(v), true
@@ -623,14 +642,12 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta) {
 			if d.Insert {
 				e.win.Insert(d.New)
 			}
-			db.counters.Slides++
-			db.met.slides.Inc()
+			db.decide(obs.NoteSlide, 1)
 		}
 		if e.win.NeedsRebuild() {
 			// The pointer ran off: regenerate with one pass (Section 4.2).
 			xs, valid := db.readSource(e.source)
-			db.counters.Rebuilds++
-			db.met.rebuilds.Inc()
+			db.decide(obs.NoteRebuild, 1)
 			e.win.Rebuild(xs, valid)
 		}
 		if v, err := e.win.Value(); err == nil {

@@ -44,7 +44,7 @@ func (db *DB) computeScalar(fn string, xs []float64, valid []bool) (float64, err
 		sp := db.tracer.Begin("fold", obs.A("fn", fn), obs.A("engine", "serial"))
 		sp.Charge(ticks)
 		defer sp.End()
-		db.met.recomputeSerial.Inc()
+		db.decide(obs.NoteSerial, 1)
 		db.met.passTicks.Observe(ticks)
 		return builtinScalar(fn, xs, valid)
 	}
@@ -58,7 +58,7 @@ func (db *DB) computeScalar(fn string, xs []float64, valid []bool) (float64, err
 		obs.AI("chunks", int64(chunks)), obs.AI("workers", int64(workers)))
 	sp.Charge(ticks)
 	defer sp.End()
-	db.met.recomputeParallel.Inc()
+	db.decide(obs.NoteParallel, 1)
 	db.met.passTicks.Observe(ticks)
 	switch fn {
 	case "count", "sum", "mean", "variance", "sd", "min", "max":

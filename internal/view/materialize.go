@@ -55,7 +55,7 @@ func (b *Builder) WithOptions(opts Options) *Builder {
 // is assembled.
 func (b *Builder) execPool() *exec.Pool {
 	if b.opts.Parallelism > 1 {
-		return exec.New(b.opts.Parallelism).WithMetrics(b.opts.Metrics)
+		return exec.New(b.opts.Parallelism).WithMetrics(b.opts.Metrics).WithTracer(b.opts.Tracer)
 	}
 	return nil
 }

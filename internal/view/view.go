@@ -102,7 +102,8 @@ type Options struct {
 	// execution pool into a shared registry (core.DBMS passes its own).
 	Metrics *obs.Registry
 	// Tracer, when set, collects per-query span trees across the view
-	// and summary layers.
+	// and summary layers, and the engine notes of the view's execution
+	// pools.
 	Tracer *obs.Tracer
 	// RunThreshold is the planner's runs/rows ratio ceiling for routing a
 	// whole-column fold to the run-native kernels instead of decoding
@@ -150,7 +151,7 @@ func New(data *dataset.Dataset, mdb *rules.ManagementDB, def rules.ViewDef, opts
 	v.sdb.SetMetrics(opts.Metrics)
 	v.sdb.SetTracer(opts.Tracer)
 	if opts.Parallelism > 1 {
-		v.sdb.SetExec(exec.New(opts.Parallelism).WithMetrics(opts.Metrics), 0)
+		v.sdb.SetExec(exec.New(opts.Parallelism).WithMetrics(opts.Metrics).WithTracer(opts.Tracer), 0)
 	}
 	if v.undoMode == UndoReplay {
 		v.base = data.Clone()
